@@ -23,8 +23,12 @@ struct SolverCounters {
   std::uint64_t transient_attempts = 0;  ///< transient attempts incl. ladder rungs
   std::uint64_t warm_start_hits = 0;     ///< transients seeded from a shared DC
   std::uint64_t warm_start_misses = 0;   ///< warm seed rejected -> cold DC
-  std::uint64_t workspace_builds = 0;    ///< symbolic analyses (new topology)
-  std::uint64_t workspace_reuses = 0;    ///< solves served by a cached workspace
+  // `workspace_for` cache misses and hits. The cache is per thread, so a
+  // topology is built once on each thread that solves it. One lookup per
+  // transient attempt, cold DC solve and warm-start polish (not per Newton
+  // iteration).
+  std::uint64_t workspace_builds = 0;    ///< misses: symbolic analyses
+  std::uint64_t workspace_reuses = 0;    ///< hits on the thread's cache
 };
 
 /// Current counter values (monotone since the last reset).

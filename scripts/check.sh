@@ -136,6 +136,19 @@ else
   echo "RW_SKIP_TSAN=1; skipping"
 fi
 
+echo "== parser + interp + netlist + lint suites under UndefinedBehaviorSanitizer =="
+# Index-heavy code (the Liberty parser, table interpolation, the netlist's
+# open-addressing net-name index, the lint rules' fan-out tables) in a
+# dedicated -fno-sanitize-recover UBSan tree: any UB finding fails a test.
+if [[ "${RW_SKIP_UBSAN:-0}" != "1" ]]; then
+  UBSAN_DIR="${BUILD_DIR}-ubsan"
+  cmake -B "$UBSAN_DIR" -S . -DRW_SANITIZE=undefined
+  cmake --build "$UBSAN_DIR" -j "$JOBS" --target util_test liberty_test netlist_test lint_test
+  ctest --test-dir "$UBSAN_DIR" -L ubsan_smoke --output-on-failure -j "$JOBS"
+else
+  echo "RW_SKIP_UBSAN=1; skipping"
+fi
+
 echo "== clang-tidy (failing gate; --warnings-as-errors) =="
 # A FAILING gate, not advisory: lint_cxx passes --warnings-as-errors=* so any
 # clang-tidy finding (config in .clang-tidy) fails this script. Only skipped

@@ -40,15 +40,18 @@ ContainmentResult run_containment(const synth::Ir& ir, const liberty::Library& f
   const std::vector<double> metrics = run.stage(
       "sta",
       [&] {
-        // Areas against the fresh library (identical cell areas in both
-        // corners).
-        return std::vector<double>{
-            sta::Sta(r.conventional.module, fresh, sta_opts).critical_delay_ps(),
-            sta::Sta(r.conventional.module, aged, sta_opts).critical_delay_ps(),
-            sta::Sta(r.aging_aware.module, fresh, sta_opts).critical_delay_ps(),
-            sta::Sta(r.aging_aware.module, aged, sta_opts).critical_delay_ps(),
-            synth::total_area_um2(r.conventional.module, fresh),
-            synth::total_area_um2(r.aging_aware.module, fresh)};
+        // One Sta per statement: temporaries in one braced list would all
+        // stay alive until the list is complete. Areas against the fresh
+        // library (identical cell areas in both corners).
+        std::vector<double> v;
+        for (const auto* syn : {&r.conventional, &r.aging_aware}) {
+          for (const auto* lib : {&fresh, &aged}) {
+            v.push_back(sta::Sta(syn->module, *lib, sta_opts).critical_delay_ps());
+          }
+        }
+        v.push_back(synth::total_area_um2(r.conventional.module, fresh));
+        v.push_back(synth::total_area_um2(r.aging_aware.module, fresh));
+        return v;
       },
       [](const std::vector<double>& v) { return artifact::encode_doubles(v); },
       [](const std::string& text) {

@@ -174,10 +174,21 @@ class DanglingOutputRule final : public Rule {
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
     if (subject.module == nullptr) return;
     const netlist::Module& m = *subject.module;
+    // Which nets reach a sink or a primary output, in one O(pins) pass.
+    std::vector<bool> used(static_cast<std::size_t>(m.net_count()), false);
+    const auto valid = [&](netlist::NetId n) { return n >= 0 && n < m.net_count(); };
+    for (const auto& inst : m.instances()) {
+      for (netlist::NetId f : inst.fanin) {
+        if (valid(f)) used[static_cast<std::size_t>(f)] = true;
+      }
+    }
+    for (netlist::NetId po : m.outputs()) {
+      if (valid(po)) used[static_cast<std::size_t>(po)] = true;
+    }
     for (std::size_t i = 0; i < m.instances().size(); ++i) {
       const netlist::NetId o = m.instances()[i].out;
-      if (o == netlist::kNoNet) continue;  // NL006 (no output) covers this
-      if (m.fanout_count(o) == 0) {
+      if (!valid(o)) continue;  // NL006 (no output) covers this
+      if (!used[static_cast<std::size_t>(o)]) {
         out.push_back(Diagnostic{rules::kDanglingOutput, Severity::kWarning, inst_loc(m, i),
                                  "output net " + m.net_name(o) + " feeds nothing",
                                  "remove the dead instance or connect its output"});

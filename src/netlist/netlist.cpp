@@ -1,12 +1,53 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace rw::netlist {
 
+namespace {
+
+std::size_t name_hash(const std::string& net_name) { return std::hash<std::string>{}(net_name); }
+
+}  // namespace
+
 Module::Module(std::string name) : name_(std::move(name)) {}
+
+std::size_t Module::name_slot(const std::string& net_name) const {
+  const std::size_t mask = net_slots_.size() - 1;
+  for (std::size_t s = name_hash(net_name) & mask;; s = (s + 1) & mask) {
+    const NetId id = net_slots_[s];
+    if (id == kNoNet || net_names_[static_cast<std::size_t>(id)] == net_name) return s;
+  }
+}
+
+void Module::index_net(NetId id) {
+  if (net_names_.size() * 2 > net_slots_.size()) {
+    net_slots_.assign(std::max<std::size_t>(16, net_slots_.size() * 2), kNoNet);
+    for (NetId n = 0; n < net_count(); ++n) {
+      net_slots_[name_slot(net_names_[static_cast<std::size_t>(n)])] = n;
+    }
+    return;
+  }
+  net_slots_[name_slot(net_names_[static_cast<std::size_t>(id)])] = id;
+}
+
+void Module::unindex_net(NetId id) {
+  // Backward-shift deletion: later entries of the probe run move up into
+  // the hole when it lies on their own probe path, so no tombstones.
+  const std::size_t mask = net_slots_.size() - 1;
+  std::size_t hole = name_slot(net_names_[static_cast<std::size_t>(id)]);
+  for (std::size_t s = (hole + 1) & mask; net_slots_[s] != kNoNet; s = (s + 1) & mask) {
+    const std::size_t home =
+        name_hash(net_names_[static_cast<std::size_t>(net_slots_[s])]) & mask;
+    if (((s - home) & mask) >= ((s - hole) & mask)) {
+      net_slots_[hole] = net_slots_[s];
+      hole = s;
+    }
+  }
+  net_slots_[hole] = kNoNet;
+}
 
 NetId Module::add_net(const std::string& net_name) {
   if (find_net(net_name) != kNoNet) {
@@ -15,7 +56,7 @@ NetId Module::add_net(const std::string& net_name) {
   net_names_.push_back(net_name);
   driver_.push_back(-1);
   const auto id = static_cast<NetId>(net_names_.size() - 1);
-  net_index_.emplace(net_name, id);
+  index_net(id);
   return id;
 }
 
@@ -30,14 +71,14 @@ void Module::rename_net(NetId id, const std::string& new_name) {
   if (find_net(new_name) != kNoNet) {
     throw std::invalid_argument("Module::rename_net: name in use: " + new_name);
   }
-  net_index_.erase(net_names_[static_cast<std::size_t>(id)]);
+  unindex_net(id);
   net_names_[static_cast<std::size_t>(id)] = new_name;
-  net_index_.emplace(new_name, id);
+  index_net(id);
 }
 
 NetId Module::find_net(const std::string& net_name) const {
-  const auto it = net_index_.find(net_name);
-  return it == net_index_.end() ? kNoNet : it->second;
+  if (net_slots_.empty()) return kNoNet;
+  return net_slots_[name_slot(net_name)];
 }
 
 const std::string& Module::net_name(NetId id) const {
@@ -155,6 +196,12 @@ std::vector<lint::Diagnostic> Module::check() const {
     out.push_back(lint::Diagnostic{rule, lint::Severity::kError, name_ + ":" + location,
                                    std::move(message), std::move(hint)});
   };
+  std::vector<bool> has_sink(net_names_.size(), false);
+  for (const auto& inst : instances_) {
+    for (NetId f : inst.fanin) {
+      if (f >= 0 && f < net_count()) has_sink[static_cast<std::size_t>(f)] = true;
+    }
+  }
   for (NetId n = 0; n < net_count(); ++n) {
     const bool driven = driver_[static_cast<std::size_t>(n)] != -1;
     const bool is_pi = is_input(n);
@@ -168,7 +215,7 @@ std::vector<lint::Diagnostic> Module::check() const {
       // Dangling nets (no sinks, not an output) are allowed — they arise
       // when trial optimization moves are backed out.
       const bool is_po = std::find(outputs_.begin(), outputs_.end(), n) != outputs_.end();
-      if (is_po || !sinks(n).empty()) {
+      if (is_po || has_sink[static_cast<std::size_t>(n)]) {
         emit(lint::rules::kUndrivenNet, "net " + net_name(n),
              "used net has no driver and is not a primary input",
              "drive the net or mark it as an input");

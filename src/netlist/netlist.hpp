@@ -6,7 +6,6 @@
 /// consume, and the dynamic-aging flow annotates.
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -73,8 +72,12 @@ class Module {
 
   /// Index of the instance driving `net`, or -1 (primary input / undriven).
   [[nodiscard]] int driver(NetId net) const;
-  /// Instance indices with `net` on an input pin.
+  /// Instance indices with `net` on an input pin. Each call scans every pin
+  /// of the module: code that asks for many nets should build its own
+  /// fan-out table in one pass.
   [[nodiscard]] std::vector<int> sinks(NetId net) const;
+  /// Input pins plus primary-output uses of `net`. Scans every pin, like
+  /// `sinks`.
   [[nodiscard]] int fanout_count(NetId net) const;
 
   /// Structural checks: every non-input net has exactly one driver, every
@@ -86,9 +89,18 @@ class Module {
   void validate() const;
 
  private:
+  /// Slot of `net_name` in `net_slots_`, or of the empty slot where it
+  /// would go. `net_slots_` must not be empty.
+  [[nodiscard]] std::size_t name_slot(const std::string& net_name) const;
+  void index_net(NetId id);
+  void unindex_net(NetId id);
+
   std::string name_;
   std::vector<std::string> net_names_;
-  std::unordered_map<std::string, NetId> net_index_;
+  /// Open-addressing (linear probing) index of `net_names_`: a power-of-two
+  /// number of slots holding net ids or kNoNet, at most half full. The names
+  /// are stored once, in `net_names_`.
+  std::vector<NetId> net_slots_;
   std::vector<int> driver_;  ///< instance index or -1, per net
   std::vector<NetId> inputs_;
   std::vector<NetId> outputs_;

@@ -106,6 +106,26 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
       if (f != netlist::kNoNet && comb_driver[static_cast<std::size_t>(f)] >= 0) ++indeg[i];
     }
   }
+  // Fan-out table in one O(pins) pass (CSR): the sink instance of every
+  // pin, per net, in (instance, pin) order. A sink with the net on two pins
+  // appears twice, matching the two counts it added to `indeg`.
+  std::vector<std::size_t> sink_begin(n_net + 1, 0);
+  for (const auto& inst : instances) {
+    for (netlist::NetId f : inst.fanin) {
+      if (f != netlist::kNoNet) ++sink_begin[static_cast<std::size_t>(f) + 1];
+    }
+  }
+  for (std::size_t net = 0; net < n_net; ++net) sink_begin[net + 1] += sink_begin[net];
+  std::vector<std::size_t> pin_sink(sink_begin.back());
+  {
+    std::vector<std::size_t> fill(sink_begin.begin(), sink_begin.end() - 1);
+    for (std::size_t i = 0; i < n_inst; ++i) {
+      for (netlist::NetId f : instances[i].fanin) {
+        if (f != netlist::kNoNet) pin_sink[fill[static_cast<std::size_t>(f)]++] = i;
+      }
+    }
+  }
+
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < n_inst; ++i) {
     if (!model.nodes_[i].is_flop && indeg[i] == 0) ready.push_back(i);
@@ -118,8 +138,9 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
     if (static_cast<std::size_t>(lv) >= model.levels_.size()) model.levels_.resize(lv + 1);
     model.levels_[static_cast<std::size_t>(lv)].push_back(i);
     if (instances[i].out == netlist::kNoNet) continue;
-    for (int s : module.sinks(instances[i].out)) {
-      const auto si = static_cast<std::size_t>(s);
+    const auto out = static_cast<std::size_t>(instances[i].out);
+    for (std::size_t k = sink_begin[out]; k < sink_begin[out + 1]; ++k) {
+      const std::size_t si = pin_sink[k];
       if (model.nodes_[si].is_flop) continue;
       level[si] = std::max(level[si], lv + 1);
       if (--indeg[si] == 0) ready.push_back(si);

@@ -1,5 +1,7 @@
 #include "synth/buffering.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -10,17 +12,6 @@ namespace {
 
 /// One sink pin position: (instance index, pin index).
 using SinkPin = std::pair<std::size_t, std::size_t>;
-
-std::vector<SinkPin> collect_sinks(const netlist::Module& module, netlist::NetId net) {
-  std::vector<SinkPin> sinks;
-  for (std::size_t i = 0; i < module.instances().size(); ++i) {
-    const auto& fanin = module.instances()[i].fanin;
-    for (std::size_t p = 0; p < fanin.size(); ++p) {
-      if (fanin[p] == net) sinks.emplace_back(i, p);
-    }
-  }
-  return sinks;
-}
 
 }  // namespace
 
@@ -41,7 +32,25 @@ const liberty::Cell* find_buffer_cell(const liberty::Library& library,
 
 int buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
                        const BufferingOptions& options) {
+  if (options.max_fanout < 2) {
+    throw std::invalid_argument("buffer_high_fanout: max_fanout must be at least 2");
+  }
   const std::string buffer_cell = find_buffer_cell(library, options.buffer_cell)->name;
+  const auto mf = static_cast<std::size_t>(options.max_fanout);
+
+  // Every net's sink pins in (instance, pin) order and its primary-output
+  // uses, built once and kept in step with each rewire below, so a sweep
+  // costs O(pins) instead of one whole-netlist scan per net.
+  std::vector<std::vector<SinkPin>> sinks(static_cast<std::size_t>(module.net_count()));
+  std::vector<std::size_t> po_uses(sinks.size(), 0);
+  for (std::size_t i = 0; i < module.instances().size(); ++i) {
+    const auto& fanin = module.instances()[i].fanin;
+    for (std::size_t p = 0; p < fanin.size(); ++p) {
+      sinks[static_cast<std::size_t>(fanin[p])].emplace_back(i, p);
+    }
+  }
+  for (const netlist::NetId po : module.outputs()) ++po_uses[static_cast<std::size_t>(po)];
+
   int inserted = 0;
   int counter = 0;
   // Iterate to a fixed point: buffer outputs can themselves exceed the
@@ -51,36 +60,44 @@ int buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
     changed = false;
     for (netlist::NetId net = 0; net < module.net_count(); ++net) {
       if (net == module.clock()) continue;
-      auto sinks = collect_sinks(module, net);
+      // Moved out: adding buffered nets below grows `sinks`.
+      std::vector<SinkPin> pins = std::move(sinks[static_cast<std::size_t>(net)]);
       // Primary-output uses stay on the net and count against the limit.
-      const auto po_uses =
-          static_cast<std::size_t>(module.fanout_count(net)) - sinks.size();
-      if (sinks.size() + po_uses <= static_cast<std::size_t>(options.max_fanout)) continue;
+      const std::size_t po = po_uses[static_cast<std::size_t>(net)];
+      const std::size_t total = pins.size();
+      if (total + po <= mf) {
+        sinks[static_cast<std::size_t>(net)] = std::move(pins);
+        continue;
+      }
 
       // Keep some sinks on the original net and hand the rest to buffers in
       // groups of max_fanout, such that kept + buffers + POs <= max_fanout.
-      const auto total = sinks.size();
-      const auto mf = static_cast<std::size_t>(options.max_fanout);
       std::size_t keep = 0;
-      for (std::size_t nbuf = 1; nbuf + po_uses < mf; ++nbuf) {
-        const std::size_t candidate_keep = mf - nbuf - po_uses;
+      for (std::size_t nbuf = 1; nbuf + po < mf; ++nbuf) {
+        const std::size_t candidate_keep = mf - nbuf - po;
         if (candidate_keep + nbuf * mf >= total) {
           keep = candidate_keep;
           break;
         }
       }
-      std::size_t cursor = keep;
-      while (cursor < sinks.size()) {
+      // The kept pins stay first; the new buffers have the largest instance
+      // indices, so the list stays in (instance, pin) order.
+      std::vector<SinkPin> kept(pins.begin(), pins.begin() + static_cast<std::ptrdiff_t>(keep));
+      for (std::size_t cursor = keep; cursor < total; cursor += mf) {
         const netlist::NetId buffered = module.new_net("buf");
-        module.add_instance("zbuf$" + std::to_string(counter++), buffer_cell, {net}, buffered);
+        kept.emplace_back(module.add_instance("zbuf$" + std::to_string(counter++), buffer_cell,
+                                              {net}, buffered),
+                          0);
         ++inserted;
-        const std::size_t end =
-            std::min(sinks.size(), cursor + static_cast<std::size_t>(options.max_fanout));
-        for (std::size_t s = cursor; s < end; ++s) {
-          module.instances()[sinks[s].first].fanin[sinks[s].second] = buffered;
+        const auto first = pins.begin() + static_cast<std::ptrdiff_t>(cursor);
+        const auto last = pins.begin() + static_cast<std::ptrdiff_t>(std::min(total, cursor + mf));
+        for (auto s = first; s != last; ++s) {
+          module.instances()[s->first].fanin[s->second] = buffered;
         }
-        cursor = end;
+        sinks.emplace_back(first, last);
+        po_uses.push_back(0);
       }
+      sinks[static_cast<std::size_t>(net)] = std::move(kept);
       changed = true;
     }
   }

@@ -18,6 +18,10 @@ struct BufferingOptions {
 
 /// Returns the number of buffers inserted. The clock net is never buffered
 /// (ideal clock assumption, as in the paper's fixed-frequency experiments).
+/// Each fixed-point sweep costs O(pins): every net's sink list is built once
+/// and updated in place as pins move onto buffers.
+/// \throws std::invalid_argument when `max_fanout` < 2 (no split can then
+/// bring a net's fan-out down, so the sweeps would never settle).
 int buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
                        const BufferingOptions& options = {});
 

@@ -95,9 +95,12 @@ std::vector<std::vector<Cut>> enumerate_cuts(const SubjectGraph& graph, int max_
     list.push_back(cut);
   };
 
+  // Each node's list is built in one reused scratch vector and stored as an
+  // exact-size copy: growth slack would otherwise stay in every stored list.
+  std::vector<Cut> list;
   for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
     const auto& node = graph.nodes[i];
-    auto& list = cuts[i];
+    list.clear();
     list.push_back(trivial_cut(static_cast<int>(i)));
 
     if (node.kind == SubjectGraph::Kind::kInv) {
@@ -131,6 +134,7 @@ std::vector<std::vector<Cut>> enumerate_cuts(const SubjectGraph& graph, int max_
       return x.size < y.size;
     });
     if (static_cast<int>(list.size()) > max_cuts) list.resize(static_cast<std::size_t>(max_cuts));
+    cuts[i] = std::vector<Cut>(list.begin(), list.end());
   }
   return cuts;
 }

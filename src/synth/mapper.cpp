@@ -103,14 +103,14 @@ double pin_delay_estimate(const liberty::Cell& cell, int pin_index, double slew_
 struct Best {
   double arrival = std::numeric_limits<double>::infinity();
   double area_flow = std::numeric_limits<double>::infinity();
-  int cut = -1;
+  Cut cut;  ///< the chosen cut, copied out of the per-node cut lists
   Match match;
 };
 
-}  // namespace
-
-netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library& library,
-                               const MapperOptions& options, const std::string& top_name) {
+/// The best match of every node. The cut lists live only in here, so they
+/// are released before the cover is extracted.
+std::vector<Best> choose_matches(const SubjectGraph& graph, const liberty::Library& library,
+                                 const MapperOptions& options) {
   const PatternTable patterns = build_pattern_table(library);
   const auto cuts = enumerate_cuts(graph, options.max_cuts);
 
@@ -144,8 +144,7 @@ netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library
       best[i].area_flow = 0.0;
       continue;
     }
-    for (std::size_t c = 0; c < cuts[i].size(); ++c) {
-      const Cut& cut = cuts[i][c];
+    for (const Cut& cut : cuts[i]) {
       if (cut.is_trivial(static_cast<int>(i))) continue;
       const auto it = patterns.find(pattern_key(cut.size, cut.truth));
       if (it == patterns.end()) continue;
@@ -171,7 +170,7 @@ netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library
         if (cost < best_cost) {
           best[i].arrival = arrival;
           best[i].area_flow = area_flow;
-          best[i].cut = static_cast<int>(c);
+          best[i].cut = cut;
           best[i].match = match;
         }
       }
@@ -180,6 +179,14 @@ netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library
       throw std::runtime_error("map_to_library: node without a match (library lacks INV/NAND2?)");
     }
   }
+  return best;
+}
+
+}  // namespace
+
+netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library& library,
+                               const MapperOptions& options, const std::string& top_name) {
+  const std::vector<Best> best = choose_matches(graph, library, options);
 
   // Cover extraction.
   netlist::Module module(top_name);
@@ -201,7 +208,7 @@ netlist::Module map_to_library(const SubjectGraph& graph, const liberty::Library
     auto& net = net_of[static_cast<std::size_t>(id)];
     if (net != netlist::kNoNet) return net;
     const Best& b = best[static_cast<std::size_t>(id)];
-    const Cut& cut = cuts[static_cast<std::size_t>(id)][static_cast<std::size_t>(b.cut)];
+    const Cut& cut = b.cut;
     // Fanin nets ordered by the cell's input pins.
     std::vector<netlist::NetId> fanin(cut.size, netlist::kNoNet);
     for (std::size_t l = 0; l < cut.size; ++l) {

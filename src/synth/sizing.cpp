@@ -91,42 +91,46 @@ SizingReport size_gates(netlist::Module& module, const liberty::Library& library
   // every move with a positive local gain estimate, verify with one STA and
   // roll back in halves when the batch hurt.
   for (int pass = 0; pass < options.max_upsize_passes; ++pass) {
-    const sta::Sta sta(module, library, options.sta);
-    const auto paths = sta::worst_endpoint_paths(sta, 8);
-    std::set<int> seen;
-    std::vector<std::pair<double, int>> candidates;  // (incr, instance)
-    for (const auto& path : paths) {
-      for (const auto& step : path.steps) {
-        if (step.instance >= 0 && seen.insert(step.instance).second) {
-          candidates.emplace_back(step.incr_ps, step.instance);
+    // The estimating Sta is dropped before the verifying ones are built, so
+    // only one full analysis is alive at a time.
+    std::vector<std::pair<std::size_t, std::string>> applied;
+    {
+      const sta::Sta sta(module, library, options.sta);
+      const auto paths = sta::worst_endpoint_paths(sta, 8);
+      std::set<int> seen;
+      std::vector<std::pair<double, int>> candidates;  // (incr, instance)
+      for (const auto& path : paths) {
+        for (const auto& step : path.steps) {
+          if (step.instance >= 0 && seen.insert(step.instance).second) {
+            candidates.emplace_back(step.incr_ps, step.instance);
+          }
         }
       }
-    }
-    std::sort(candidates.rbegin(), candidates.rend());
-    if (static_cast<int>(candidates.size()) > options.candidates_per_pass) {
-      candidates.resize(static_cast<std::size_t>(options.candidates_per_pass));
-    }
+      std::sort(candidates.rbegin(), candidates.rend());
+      if (static_cast<int>(candidates.size()) > options.candidates_per_pass) {
+        candidates.resize(static_cast<std::size_t>(options.candidates_per_pass));
+      }
 
-    std::vector<std::pair<std::size_t, std::string>> applied;
-    for (const auto& [incr, idx] : candidates) {
-      auto& inst = module.instances()[static_cast<std::size_t>(idx)];
-      const liberty::Cell& now = library.at(inst.cell);
-      const liberty::Cell* one_up = drive_variant(library, now, /*larger=*/true);
-      if (one_up == nullptr) continue;
-      // Consider jumping two drive steps at once: chains stuck at small
-      // drives often only pay off past the next size.
-      const liberty::Cell* two_up = drive_variant(library, *one_up, /*larger=*/true);
-      const double gain_one = estimate_gain_ps(sta, module, idx, now, *one_up);
-      const double gain_two =
-          two_up != nullptr ? estimate_gain_ps(sta, module, idx, now, *two_up)
-                            : std::numeric_limits<double>::lowest();
-      const liberty::Cell* pick = gain_two > gain_one ? two_up : one_up;
-      // A slightly negative individual estimate is allowed: gates on a
-      // chain only pay off when their neighbours upsize too, and the batch
-      // is verified (and rolled back) against a real STA anyway.
-      if (std::max(gain_one, gain_two) <= -2.0) continue;
-      applied.emplace_back(static_cast<std::size_t>(idx), inst.cell);
-      inst.cell = pick->name;
+      for (const auto& [incr, idx] : candidates) {
+        auto& inst = module.instances()[static_cast<std::size_t>(idx)];
+        const liberty::Cell& now = library.at(inst.cell);
+        const liberty::Cell* one_up = drive_variant(library, now, /*larger=*/true);
+        if (one_up == nullptr) continue;
+        // Consider jumping two drive steps at once: chains stuck at small
+        // drives often only pay off past the next size.
+        const liberty::Cell* two_up = drive_variant(library, *one_up, /*larger=*/true);
+        const double gain_one = estimate_gain_ps(sta, module, idx, now, *one_up);
+        const double gain_two =
+            two_up != nullptr ? estimate_gain_ps(sta, module, idx, now, *two_up)
+                              : std::numeric_limits<double>::lowest();
+        const liberty::Cell* pick = gain_two > gain_one ? two_up : one_up;
+        // A slightly negative individual estimate is allowed: gates on a
+        // chain only pay off when their neighbours upsize too, and the
+        // batch is verified (and rolled back) against a real STA anyway.
+        if (std::max(gain_one, gain_two) <= -2.0) continue;
+        applied.emplace_back(static_cast<std::size_t>(idx), inst.cell);
+        inst.cell = pick->name;
+      }
     }
     if (applied.empty()) break;
 
@@ -150,27 +154,39 @@ SizingReport size_gates(netlist::Module& module, const liberty::Library& library
   // moves a gate into the OPC region where its (aged) delay is small. Try a
   // buffer in front of the worst-slew critical-path pins; verify with STA.
   for (int round = 0; round < options.max_buffer_rounds; ++round) {
-    const sta::Sta sta(module, library, options.sta);
-    const double cp_before = sta.critical_delay_ps();
-    const sta::TimingPath path = sta::worst_path(sta);
+    // The round's (instance, pin) candidates on the worst path, read before
+    // its Sta is dropped: only one full analysis is alive during the trials.
+    struct SlewPin {
+      int instance;
+      int pin;
+      netlist::NetId net;
+    };
+    std::vector<SlewPin> pins;
+    double cp_before = 0.0;
+    {
+      const sta::Sta sta(module, library, options.sta);
+      cp_before = sta.critical_delay_ps();
+      for (const auto& step : sta::worst_path(sta).steps) {
+        if (step.instance < 0 || step.input_pin < 0) continue;
+        const auto& inst = module.instances()[static_cast<std::size_t>(step.instance)];
+        const netlist::NetId in_net = inst.fanin[static_cast<std::size_t>(step.input_pin)];
+        const auto& in_t = sta.timing(in_net);
+        const double slew = std::max(in_t.slew_ps[0], in_t.slew_ps[1]);
+        if (slew < options.buffer_slew_threshold_ps) continue;
+        if (module.driver(in_net) < 0) continue;  // don't buffer primary inputs
+        pins.push_back(SlewPin{step.instance, step.input_pin, in_net});
+      }
+    }
     bool inserted = false;
-    for (const auto& step : path.steps) {
-      if (step.instance < 0 || step.input_pin < 0) continue;
-      const auto& inst = module.instances()[static_cast<std::size_t>(step.instance)];
-      const netlist::NetId in_net = inst.fanin[static_cast<std::size_t>(step.input_pin)];
-      const auto& in_t = sta.timing(in_net);
-      const double slew = std::max(in_t.slew_ps[0], in_t.slew_ps[1]);
-      if (slew < options.buffer_slew_threshold_ps) continue;
-      if (module.driver(in_net) < 0) continue;  // don't buffer primary inputs
-
+    for (const auto& [instance, pin, in_net] : pins) {
       // Insert BUF between the net and this one pin.
       const std::string buf_cell = find_buffer_cell(library, options.buffer_cell)->name;
       const netlist::NetId buffered = module.new_net("slewbuf");
       const std::size_t buf_idx = module.add_instance(
           "sbuf$" + std::to_string(report.slew_buffers + round * 100), buf_cell,
           {in_net}, buffered);
-      module.instances()[static_cast<std::size_t>(step.instance)]
-          .fanin[static_cast<std::size_t>(step.input_pin)] = buffered;
+      module.instances()[static_cast<std::size_t>(instance)]
+          .fanin[static_cast<std::size_t>(pin)] = buffered;
 
       const double cp_after = sta::Sta(module, library, options.sta).critical_delay_ps();
       if (cp_after < cp_before - 1e-9) {
@@ -181,8 +197,8 @@ SizingReport size_gates(netlist::Module& module, const liberty::Library& library
       }
       // Revert: restore the pin and drop the buffer instance (it is the
       // last one added and drives a net nothing else uses).
-      module.instances()[static_cast<std::size_t>(step.instance)]
-          .fanin[static_cast<std::size_t>(step.input_pin)] = in_net;
+      module.instances()[static_cast<std::size_t>(instance)]
+          .fanin[static_cast<std::size_t>(pin)] = in_net;
       module.remove_last_instance(buf_idx);
     }
     if (!inserted) break;
@@ -190,19 +206,21 @@ SizingReport size_gates(netlist::Module& module, const liberty::Library& library
 
   // Area recovery: downsize everything with comfortable slack, verify once.
   if (options.enable_area_recovery) {
-    const sta::Sta sta(module, library, options.sta);
-    cp = sta.critical_delay_ps();
     std::vector<std::pair<std::size_t, std::string>> applied;
-    for (std::size_t i = 0; i < module.instances().size(); ++i) {
-      auto& inst = module.instances()[i];
-      const liberty::Cell& current = library.at(inst.cell);
-      if (current.drive_x <= 1) continue;
-      const double slack = sta.slack_ps(inst.out);
-      if (!std::isfinite(slack) || slack < options.downsize_slack_margin_ps) continue;
-      const liberty::Cell* smaller = drive_variant(library, current, /*larger=*/false);
-      if (smaller == nullptr) continue;
-      applied.emplace_back(i, inst.cell);
-      inst.cell = smaller->name;
+    {
+      const sta::Sta sta(module, library, options.sta);
+      cp = sta.critical_delay_ps();
+      for (std::size_t i = 0; i < module.instances().size(); ++i) {
+        auto& inst = module.instances()[i];
+        const liberty::Cell& current = library.at(inst.cell);
+        if (current.drive_x <= 1) continue;
+        const double slack = sta.slack_ps(inst.out);
+        if (!std::isfinite(slack) || slack < options.downsize_slack_margin_ps) continue;
+        const liberty::Cell* smaller = drive_variant(library, current, /*larger=*/false);
+        if (smaller == nullptr) continue;
+        applied.emplace_back(i, inst.cell);
+        inst.cell = smaller->name;
+      }
     }
     if (!applied.empty()) {
       double new_cp = sta::Sta(module, library, options.sta).critical_delay_ps();

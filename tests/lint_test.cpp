@@ -172,6 +172,25 @@ TEST(NetlistRules, DanglingOutputIsWarning) {
   EXPECT_TRUE(has_rule(lint_netlist(m, lib), rules::kDanglingOutput, Severity::kWarning));
 }
 
+TEST(NetlistRules, DanglingOutputFlagsOnlyDeadInstances) {
+  const liberty::Library lib = small_lib();
+  netlist::Module m("dangle2");
+  const auto a = m.add_net("a");
+  m.mark_input(a);
+  const auto w = m.add_net("w");
+  const auto y = m.add_net("y");
+  const auto dead = m.add_net("dead");
+  m.add_instance("u1", "INV_X1", {a}, w);     // feeds a later instance
+  m.add_instance("u2", "INV_X1", {a}, dead);  // feeds nothing
+  m.add_instance("u3", "INV_X1", {w}, y);     // feeds only a primary output
+  m.mark_output(y);
+  std::vector<std::string> flagged;
+  for (const auto& d : lint_netlist(m, lib)) {
+    if (d.rule_id == rules::kDanglingOutput) flagged.push_back(d.location);
+  }
+  EXPECT_EQ(flagged, std::vector<std::string>{"dangle2:inst u2"});
+}
+
 TEST(NetlistRules, UnknownCell) {
   const liberty::Library lib = small_lib();
   netlist::Module m("unk");

@@ -79,6 +79,52 @@ TEST(Module, RenameNet) {
   EXPECT_THROW(m.rename_net(y, "better"), std::invalid_argument);
 }
 
+TEST(Module, NetNameIndexSurvivesGrowthRenamesAndCopies) {
+  // Enough nets for the index to grow many times; user names with '$'
+  // beside generated "n$k" names.
+  Module m("big");
+  std::vector<NetId> ids;
+  for (int i = 0; i < 12000; ++i) {
+    ids.push_back(i % 3 == 0 ? m.new_net() : m.add_net("u$" + std::to_string(i)));
+  }
+  ASSERT_EQ(m.net_count(), 12000);
+  for (const NetId id : ids) EXPECT_EQ(m.find_net(m.net_name(id)), id);
+  EXPECT_EQ(m.find_net("n$0"), ids[0]);
+  EXPECT_EQ(m.find_net("u$1"), ids[1]);
+  EXPECT_EQ(m.find_net("u$0"), kNoNet);
+  EXPECT_EQ(m.find_net("n$4000"), kNoNet);
+  EXPECT_EQ(m.find_net(""), kNoNet);
+
+  EXPECT_THROW(m.add_net("u$1"), std::invalid_argument);
+  EXPECT_THROW(m.add_net("n$5"), std::invalid_argument);
+
+  // Rename every fifth net: the old names disappear and can be added again.
+  for (std::size_t k = 0; k < ids.size(); k += 5) {
+    const std::string old_name = m.net_name(ids[k]);
+    m.rename_net(ids[k], "renamed$" + std::to_string(k));
+    EXPECT_EQ(m.find_net(old_name), kNoNet);
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::string expected =
+        k % 5 == 0 ? "renamed$" + std::to_string(k) : m.net_name(ids[k]);
+    ASSERT_EQ(m.net_name(ids[k]), expected);
+    ASSERT_EQ(m.find_net(expected), ids[k]) << expected;
+  }
+  const NetId again = m.add_net("u$5");  // freed by the rename of net 5
+  EXPECT_EQ(m.find_net("u$5"), again);
+  EXPECT_EQ(m.find_net("renamed$5"), ids[5]);
+  EXPECT_THROW(m.rename_net(ids[1], "renamed$0"), std::invalid_argument);
+
+  const Module copy = m;
+  ASSERT_EQ(copy.net_count(), m.net_count());
+  for (NetId n = 0; n < copy.net_count(); ++n) EXPECT_EQ(copy.find_net(m.net_name(n)), n);
+  // The copy's index is its own.
+  Module changed = copy;
+  changed.rename_net(again, "moved");
+  EXPECT_EQ(changed.find_net("u$5"), kNoNet);
+  EXPECT_EQ(copy.find_net("u$5"), again);
+}
+
 TEST(Verilog, RoundTrip) {
   const Module m = small_design();
   const std::string text = write_verilog(m, lib());

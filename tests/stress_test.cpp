@@ -118,6 +118,25 @@ TEST(Analyzer, ReconvergenceWidensSoundly) {
   EXPECT_EQ(r.widened_net_count(), 1u);
 }
 
+/// y = NAND2(n1, n1) with n1 = INV(a): one instance with the same net on
+/// both pins levelizes after its driver (it is not a cycle) and sees a
+/// single variable, y = a.
+TEST(Analyzer, SameNetOnTwoPinsIsNotACycle) {
+  netlist::Module m("dup");
+  const auto a = m.add_net("a");
+  m.mark_input(a);
+  netlist::NetlistBuilder b(m, lib());
+  const auto n1 = b.gate("INV_X1", {a});
+  const auto y = b.gate("NAND2_X1", {n1, n1});
+  m.mark_output(y);
+
+  AnalyzeOptions options;
+  options.input_intervals["a"] = Interval::point(0.25);
+  const StressReport r = analyze(m, lib(), options);
+  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(r.net[static_cast<std::size_t>(y)].contains(0.25));
+}
+
 TEST(Analyzer, SequentialConstantReachesFixpoint) {
   netlist::Module m("pipe");
   const auto a = m.add_net("a");

@@ -3,6 +3,7 @@
 #include "charlib/factory.hpp"
 #include "circuits/arith.hpp"
 #include "logicsim/simulator.hpp"
+#include "synth/buffering.hpp"
 #include "synth/cuts.hpp"
 #include "synth/decompose.hpp"
 #include "sta/analysis.hpp"
@@ -250,6 +251,171 @@ TEST(Buffering, SplitsHighFanout) {
     max_fanout = std::max(max_fanout, res.module.fanout_count(n));
   }
   EXPECT_LE(max_fanout, 8);
+}
+
+/// The original buffer_high_fanout, kept verbatim as the oracle of the
+/// linear-time version: it rescans every pin of the module for every net of
+/// every sweep, which makes it quadratic but obviously right.
+int reference_buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
+                                 const BufferingOptions& options) {
+  using SinkPin = std::pair<std::size_t, std::size_t>;
+  const auto collect_sinks = [](const netlist::Module& m, netlist::NetId net) {
+    std::vector<SinkPin> sinks;
+    for (std::size_t i = 0; i < m.instances().size(); ++i) {
+      const auto& fanin = m.instances()[i].fanin;
+      for (std::size_t p = 0; p < fanin.size(); ++p) {
+        if (fanin[p] == net) sinks.emplace_back(i, p);
+      }
+    }
+    return sinks;
+  };
+  const std::string buffer_cell = find_buffer_cell(library, options.buffer_cell)->name;
+  int inserted = 0;
+  int counter = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (netlist::NetId net = 0; net < module.net_count(); ++net) {
+      if (net == module.clock()) continue;
+      auto sinks = collect_sinks(module, net);
+      const auto po_uses =
+          static_cast<std::size_t>(module.fanout_count(net)) - sinks.size();
+      if (sinks.size() + po_uses <= static_cast<std::size_t>(options.max_fanout)) continue;
+      const auto total = sinks.size();
+      const auto mf = static_cast<std::size_t>(options.max_fanout);
+      std::size_t keep = 0;
+      for (std::size_t nbuf = 1; nbuf + po_uses < mf; ++nbuf) {
+        const std::size_t candidate_keep = mf - nbuf - po_uses;
+        if (candidate_keep + nbuf * mf >= total) {
+          keep = candidate_keep;
+          break;
+        }
+      }
+      std::size_t cursor = keep;
+      while (cursor < sinks.size()) {
+        const netlist::NetId buffered = module.new_net("buf");
+        module.add_instance("zbuf$" + std::to_string(counter++), buffer_cell, {net}, buffered);
+        ++inserted;
+        const std::size_t end =
+            std::min(sinks.size(), cursor + static_cast<std::size_t>(options.max_fanout));
+        for (std::size_t s = cursor; s < end; ++s) {
+          module.instances()[sinks[s].first].fanin[sinks[s].second] = buffered;
+        }
+        cursor = end;
+      }
+      changed = true;
+    }
+  }
+  return inserted;
+}
+
+/// A seeded random module around a few high-fan-out hub nets: fan-outs of
+/// 0..200 pins, hubs that are also primary outputs, instances with a hub on
+/// two pins, and a clock net driving many flops.
+netlist::Module random_fanout_module(util::Rng& rng) {
+  netlist::Module m("rand");
+  std::vector<netlist::NetId> nets;
+  for (int i = 0; i < 3; ++i) {
+    nets.push_back(m.add_net("a$" + std::to_string(i)));  // user names with '$'
+    m.mark_input(nets.back());
+  }
+  m.set_clock(m.add_net("clk"));
+  int inst = 0;
+  const auto add_gate = [&](std::vector<netlist::NetId> fanin) {
+    const netlist::NetId out = rng.chance(0.5) ? m.new_net() : m.add_net("w" + std::to_string(inst));
+    m.add_instance("u$" + std::to_string(inst++), "G", std::move(fanin), out);
+    nets.push_back(out);
+    return out;
+  };
+  // Hubs: primary inputs or gate outputs, each with its own target fan-out.
+  std::vector<netlist::NetId> pins;
+  for (int h = 0; h < 3; ++h) {
+    const netlist::NetId hub = rng.chance(0.3) ? nets[static_cast<std::size_t>(h)]
+                                               : add_gate({nets[rng.next_below(nets.size())]});
+    pins.insert(pins.end(), rng.next_below(201), hub);
+    if (rng.chance(0.5)) m.mark_output(hub);
+    if (rng.chance(0.3)) m.mark_output(hub);  // a second PO use is deduplicated
+    add_gate({hub, hub});
+  }
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    std::swap(pins[i], pins[i + rng.next_below(pins.size() - i)]);
+  }
+  // Deal the hub pins out over gates of 1..3 pins, mixed with other nets.
+  for (std::size_t next = 0; next < pins.size();) {
+    std::vector<netlist::NetId> fanin;
+    const auto width = 1 + rng.next_below(3);
+    while (fanin.size() < width) {
+      if (next < pins.size() && rng.chance(0.8)) {
+        fanin.push_back(pins[next++]);
+      } else {
+        fanin.push_back(nets[rng.next_below(nets.size())]);
+      }
+    }
+    add_gate(std::move(fanin));
+  }
+  for (int r = 0; r < 20; ++r) {
+    const netlist::NetId q = m.new_net("q");
+    m.add_instance("r$" + std::to_string(r), "FF", {nets[rng.next_below(nets.size())], m.clock()},
+                   q);
+  }
+  if (rng.chance(0.5)) m.mark_output(nets.back());
+  return m;
+}
+
+void expect_same_module(const netlist::Module& a, const netlist::Module& b) {
+  ASSERT_EQ(a.net_count(), b.net_count());
+  for (netlist::NetId n = 0; n < a.net_count(); ++n) ASSERT_EQ(a.net_name(n), b.net_name(n));
+  EXPECT_EQ(a.inputs(), b.inputs());
+  EXPECT_EQ(a.outputs(), b.outputs());
+  EXPECT_EQ(a.clock(), b.clock());
+  ASSERT_EQ(a.instances().size(), b.instances().size());
+  for (std::size_t i = 0; i < a.instances().size(); ++i) {
+    const auto& x = a.instances()[i];
+    const auto& y = b.instances()[i];
+    ASSERT_EQ(x.name, y.name);
+    ASSERT_EQ(x.cell, y.cell);
+    ASSERT_EQ(x.fanin, y.fanin) << x.name;
+    ASSERT_EQ(x.out, y.out) << x.name;
+  }
+}
+
+TEST(Buffering, MatchesQuadraticReferenceOnRandomModules) {
+  util::Rng rng(20160605);
+  int deep_splits = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const netlist::Module original = random_fanout_module(rng);
+    BufferingOptions options;
+    options.max_fanout = 2 + trial % 7;  // 2..8
+    netlist::Module expected = original;
+    netlist::Module actual = original;
+    const int expected_count = reference_buffer_high_fanout(expected, lib(), options);
+    const int actual_count = buffer_high_fanout(actual, lib(), options);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(actual_count, expected_count);
+    expect_same_module(actual, expected);
+    // Every net but the clock is within the limit; the clock is untouched.
+    for (netlist::NetId n = 0; n < actual.net_count(); ++n) {
+      if (n == actual.clock()) continue;
+      EXPECT_LE(actual.fanout_count(n), options.max_fanout);
+    }
+    EXPECT_EQ(actual.fanout_count(actual.clock()), original.fanout_count(original.clock()));
+    // A buffer fed by another buffer: a split of more than one level.
+    for (const auto& inst : actual.instances()) {
+      const int drv = inst.name.rfind("zbuf$", 0) == 0 ? actual.driver(inst.fanin[0]) : -1;
+      if (drv >= 0 && actual.instances()[static_cast<std::size_t>(drv)].name.rfind("zbuf$", 0) == 0) {
+        deep_splits += options.max_fanout == 8 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(deep_splits, 0);  // max_fanout 8 and fan-out beyond ~8² took two levels
+}
+
+TEST(Buffering, RejectsMaxFanoutBelowTwo) {
+  util::Rng rng(1);
+  netlist::Module m = random_fanout_module(rng);
+  BufferingOptions options;
+  options.max_fanout = 1;
+  EXPECT_THROW(buffer_high_fanout(m, lib(), options), std::invalid_argument);
 }
 
 TEST(Synthesizer, AgedLibraryYieldsAgedAwareCp) {
